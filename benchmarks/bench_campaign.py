@@ -437,6 +437,8 @@ def main(argv=None) -> int:
         "--rss-child-store", type=Path, default=None, help=argparse.SUPPRESS
     )
     args = parser.parse_args(argv)
+    if args.compare is not None and not args.compare.is_file():
+        parser.error(f"--compare reference {args.compare} does not exist")
 
     if args.rss_child:
         args.rss_child_trials = args.rss_child_trials or args.trials

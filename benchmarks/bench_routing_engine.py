@@ -154,7 +154,9 @@ def compare_reference(payload: dict, reference_path: Path) -> int:
                 )
     print(f"[compared {compared} configurations against {reference_path}]")
     if compared == 0:
-        print("WARNING: no overlapping configurations to compare")
+        # A renamed key or a shrunk default must not switch the guard off.
+        print(f"NO OVERLAP: none of this run's configurations are in {reference_path}")
+        return 1
     return mismatches
 
 
@@ -189,6 +191,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
+    if args.compare is not None and not args.compare.is_file():
+        parser.error(f"--compare reference {args.compare} does not exist")
     if args.patterns is None:
         args.patterns = list(traffic_keys())
 

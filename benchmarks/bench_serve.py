@@ -490,7 +490,9 @@ def compare_reference(payload: dict, reference_path: Path) -> int:
                 )
     print(f"[compared {compared} sections against {reference_path}]")
     if compared == 0:
-        print("WARNING: no overlapping sections to compare")
+        # A renamed key or a shrunk default must not switch the guard off.
+        print(f"NO OVERLAP: none of this run's sections are in {reference_path}")
+        return 1
     return mismatches
 
 
@@ -570,6 +572,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
+    if args.compare is not None and not args.compare.is_file():
+        parser.error(f"--compare reference {args.compare} does not exist")
 
     coalesce = bench_coalesce(args)
     deltas = bench_deltas(args)

@@ -100,8 +100,14 @@ def apply_labelling_scheme_1(
         Optional topology; only used to decide whether neighbourhoods wrap
         (torus) or not (mesh, the default).
     max_rounds:
-        Optional safety cap; the fixed point is always reached in at most
-        ``width + height`` rounds, so the default cap is generous.
+        Optional safety cap on the number of rounds.  The scheme is
+        monotone -- every round before the fixed point turns at least one
+        node unsafe and no node ever turns back -- so it converges within
+        ``width * height`` changing rounds; the default cap
+        ``width * height + 1`` (those rounds plus the final check) is
+        never hit.  The round count can far exceed ``width + height``:
+        fault staircases make the unsafe region grow a few nodes per
+        round, and a clustered 100x100 mesh can need hundreds of rounds.
 
     Returns
     -------
@@ -112,7 +118,7 @@ def apply_labelling_scheme_1(
     wrap = isinstance(topology, Torus2D)
     unsafe = faulty.copy()
     width, height = unsafe.shape
-    cap = max_rounds if max_rounds is not None else 2 * (width + height)
+    cap = max_rounds if max_rounds is not None else width * height + 1
     rounds = 0
     for _ in range(cap):
         west, east, south, north = _neighbour_views(unsafe, wrap)
@@ -123,7 +129,7 @@ def apply_labelling_scheme_1(
             break
         unsafe = new_unsafe
         rounds += 1
-    else:  # pragma: no cover - the cap is never hit for valid inputs
+    else:  # only an explicit max_rounds below the default can be hit
         raise RuntimeError("labelling scheme 1 did not converge")
     return LabellingResult(labels=unsafe, rounds=rounds)
 
@@ -147,7 +153,10 @@ def apply_labelling_scheme_2(
     topology:
         Optional topology (wrap behaviour on a torus).
     max_rounds:
-        Optional safety cap on the number of rounds.
+        Optional safety cap on the number of rounds.  Like scheme 1 the
+        scheme is monotone (every round before the fixed point enables at
+        least one node, and enabled nodes stay enabled), so the default
+        cap ``width * height + 1`` is never hit.
     missing_neighbours_enabled:
         On a mesh, whether a neighbour position that falls outside the grid
         counts as an *enabled* neighbour.  The physical network has no such
@@ -169,7 +178,7 @@ def apply_labelling_scheme_2(
     disabled = unsafe.copy()
     disabled |= faulty  # faulty nodes are disabled by definition
     width, height = disabled.shape
-    cap = max_rounds if max_rounds is not None else 4 * (width + height)
+    cap = max_rounds if max_rounds is not None else width * height + 1
     rounds = 0
     if wrap and missing_neighbours_enabled:
         # A torus has no missing neighbours; the flag is meaningless there.
@@ -195,7 +204,7 @@ def apply_labelling_scheme_2(
             break
         disabled = disabled & ~newly_enabled
         rounds += 1
-    else:  # pragma: no cover - the cap is never hit for valid inputs
+    else:  # only an explicit max_rounds below the default can be hit
         raise RuntimeError("labelling scheme 2 did not converge")
     return LabellingResult(labels=disabled, rounds=rounds)
 

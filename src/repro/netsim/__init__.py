@@ -3,9 +3,11 @@
 The routing layer of this package answers "where does every message go";
 this subsystem answers the paper-standard interconnect question "how long
 does it take under load": open-loop injection (Poisson / bursty arrival
-processes from the traffic registry), round-based replay of the routed
-paths against per-virtual-channel occupancy with deterministic
-lowest-index arbitration, and latency / throughput / saturation reporting.
+processes from the traffic registry), plans built from the batch routing
+engine's CSR node paths with whole-array passes (:func:`build_plan`),
+round-based replay of the routed paths against per-virtual-channel
+occupancy with deterministic lowest-index arbitration, and latency /
+throughput / saturation reporting.
 
 Two bit-identical simulators are registered (``array`` -- the vectorized
 default -- and ``scalar`` -- the dict-based oracle), switchable via the
@@ -20,7 +22,7 @@ the ``repro-mesh simulate`` CLI command and
 ``benchmarks/bench_saturation.py``.
 """
 
-from repro.netsim.plan import NUM_VCS, SimPlan, build_plan, channel_ids
+from repro.netsim.plan import NUM_VCS, SimPlan, build_plan
 from repro.netsim.registry import (
     SimulatorSpec,
     available_simulators,
@@ -41,7 +43,6 @@ __all__ = [
     "VC_NAMES",
     "SimPlan",
     "build_plan",
-    "channel_ids",
     "SimOutcome",
     "simulate_array",
     "simulate_scalar",

@@ -12,8 +12,10 @@ through the simulator registry (``REPRO_NETSIM``).  One call::
 
 runs the whole open-loop pipeline: generate a timed batch (``load`` times
 the enabled node count messages per cycle over the injection window), route
-every unique endpoint pair once through the scalar router, replay the paths
-against per-channel occupancy, and fold the outcome into a
+every new unique endpoint pair in one lockstep batch route that emits the
+node paths, turn them into virtual-channel plans with whole-array passes
+(:func:`~repro.netsim.plan.build_plan`), replay the paths against
+per-channel occupancy, and fold the outcome into a
 :class:`~repro.netsim.stats.NetSimStats`.
 
 Routed paths are memoised per ``(router, construction, options)`` key and

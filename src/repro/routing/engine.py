@@ -2,8 +2,9 @@
 
 The scalar :class:`~repro.routing.extended_ecube.ExtendedECubeRouter`
 routes one message at a time, one Python loop iteration per hop -- clear,
-and kept as the path-collecting / deadlock-check oracle, but far too slow
-for the million-message sweeps the evaluation harness is growing towards.
+and kept as the reference semantics (and the per-route ``RouteResult``
+collector behind ``check_deadlock``), but far too slow for the
+million-message sweeps the evaluation harness is growing towards.
 This module routes an entire traffic batch *in lockstep*: every message is
 a row of a frontier state array (position, hop count, abnormal-hop count,
 outcome code), and each round of the kernel advances every still-active
@@ -32,6 +33,10 @@ The kernel reproduces the scalar router's semantics *bit-identically*
 reason; asserted by the differential suite in
 ``tests/test_routing_engine.py`` and by ``benchmarks/bench_routing_engine.py``,
 which refuses to report a speedup unless the aggregate stats match).
+With ``paths=True`` it also emits every message's node path -- the
+straight runs and ring traversals each round resolved, expanded into CSR
+arrays equal to ``router.route(...).path`` -- which is what the network
+simulator builds its plans from (:func:`repro.netsim.plan.build_plan`).
 
 Engines are a registry (``get_engine("scalar" | "batch")``) mirroring the
 construction/router/traffic registries, and the default selection can be
@@ -109,6 +114,11 @@ REASONS: Dict[int, str] = {
 #: Upper bound on the (messages x ring length) cells materialised per
 #: traversal chunk; bounds the kernel's peak memory on huge groups.
 _TRAVERSAL_CHUNK_CELLS = 1 << 18
+
+#: Upper bound (give or take one segment) on the path nodes or hops
+#: expanded per chunk when paths are emitted or classified; bounds the
+#: per-node temporaries whatever the batch size.
+PATH_CHUNK_NODES = 1 << 13
 
 #: When the active frontier shrinks to this many messages, the kernel
 #: finishes them through the scalar router instead of paying a full
@@ -354,6 +364,13 @@ class BatchRouteOutcome:
     hops: np.ndarray
     abnormal_hops: np.ndarray
     minimal_hops: np.ndarray
+    #: CSR node paths (int32 coordinates), only when routed with
+    #: ``paths=True``: message ``m`` visits ``(path_x[i], path_y[i])`` for ``i`` in
+    #: ``path_offsets[m] : path_offsets[m + 1]``, source first -- the same
+    #: node sequence as ``router.route(...).path``.
+    path_offsets: Optional[np.ndarray] = None
+    path_x: Optional[np.ndarray] = None
+    path_y: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.status.size)
@@ -791,6 +808,110 @@ def _traverse_packed(
 _REASON_CODES = {reason: code for code, reason in REASONS.items() if code != DELIVERED}
 
 
+def chunk_spans(ends: np.ndarray) -> List[Tuple[int, int]]:
+    """Split items with cumulative sizes *ends* into ``(lo, hi)`` item runs
+    of about :data:`PATH_CHUNK_NODES` units each (an item larger than that
+    gets its own run; empty leading items are skipped)."""
+    limit = PATH_CHUNK_NODES
+    if ends.size == 0:
+        return []
+    starts = np.unique(np.searchsorted(ends, np.arange(0, int(ends[-1]), limit), side="right"))
+    bounds = np.append(starts, ends.size).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _PathLog:
+    """The straight runs and ring traversals of one lockstep batch route.
+
+    Each segment is recorded with its message, the message's hop count
+    before it (``rank``) and its own hop count; hop ``k`` (1-based) of a
+    segment is node ``rank + k`` of the message's path and lands on
+
+    * a straight run ``(x, y, dx, dy)``: ``(x + dx * k, y + dy * k)``;
+    * a ring traversal ``(ring start, entry, step, ring length)``: packed
+      ring node ``start + (entry + step * k) % length``.
+
+    Stragglers finished by the scalar router keep their whole
+    ``router.route`` path in :attr:`scalar_paths` instead (the finish
+    replays from the source, so their logged prefix is dropped).
+    """
+
+    def __init__(self) -> None:
+        # Per segment kind, one list of per-round arrays per field.
+        self.runs: List[List[np.ndarray]] = [[] for _ in range(7)]
+        self.walks: List[List[np.ndarray]] = [[] for _ in range(7)]
+        self.scalar_paths: Dict[int, Tuple[Coord, ...]] = {}
+
+    def run(self, message, rank, run, x, y, x_phase, sign) -> None:
+        """Record the straight runs of one round (zero-length runs skipped)."""
+        moved = np.nonzero(run > 0)[0]
+        if moved.size:
+            step, along_x = sign[moved], x_phase[moved]
+            fields = (
+                message[moved], rank[moved], run[moved], x[moved], y[moved],
+                np.where(along_x, step, 0), np.where(along_x, 0, step),
+            )
+            for column, field in zip(self.runs, fields):
+                column.append(field)
+
+    def walk(self, message, rank, taken, ring_start, entry, step, length) -> None:
+        """Record the successful ring traversals of one round."""
+        if message.size:
+            fields = (message, rank, taken, ring_start, entry, step, length)
+            for column, field in zip(self.walks, fields):
+                column.append(field)
+
+    @staticmethod
+    def _drain(column: List[np.ndarray]) -> np.ndarray:
+        """Concatenate one field's per-round arrays and release them."""
+        joined = np.concatenate(column)
+        column.clear()
+        return joined
+
+    def _segments(self, columns, offsets):
+        """Yield the hops of the logged *columns* chunk by chunk: per hop
+        its path position, its ``k`` and its segment's parameters."""
+        if not columns[0]:
+            return
+        # Field by field, so the log is never held twice.
+        message, rank, taken, *params = [self._drain(column) for column in columns]
+        if self.scalar_paths:
+            lockstep = ~np.isin(message, list(self.scalar_paths))
+            message, rank, taken = message[lockstep], rank[lockstep], taken[lockstep]
+            params = [param[lockstep] for param in params]
+        for lo, hi in chunk_spans(np.cumsum(taken)):
+            count = taken[lo:hi]
+            first = np.cumsum(count) - count
+            segment = np.repeat(np.arange(hi - lo), count)
+            node = np.arange(segment.size)
+            at = node + (offsets[message[lo:hi]] + rank[lo:hi] + 1 - first)[segment]
+            k = node + (1 - first)[segment]
+            yield at, k, [param[lo:hi][segment] for param in params]
+
+    def expand(self, outcome, src_x, src_y, packed) -> None:
+        """Write *outcome*'s CSR node paths from the log."""
+        total = len(outcome)
+        offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(outcome.hops + 1, out=offsets[1:])
+        # Coordinates fit 32 bits; the paths are the largest arrays here.
+        path_x = np.empty(offsets[-1], dtype=np.int32)
+        path_y = np.empty(offsets[-1], dtype=np.int32)
+        path_x[offsets[:-1]] = src_x
+        path_y[offsets[:-1]] = src_y
+        for at, k, (x, y, dx, dy) in self._segments(self.runs, offsets):
+            path_x[at] = x + dx * k
+            path_y[at] = y + dy * k
+        for at, k, (start, entry, step, length) in self._segments(self.walks, offsets):
+            index = start + (entry + step * k) % length
+            path_x[at] = packed.ring_x[index]
+            path_y[at] = packed.ring_y[index]
+        for message, path in self.scalar_paths.items():
+            nodes = slice(offsets[message], offsets[message + 1])
+            path_x[nodes] = [node[0] for node in path]
+            path_y[nodes] = [node[1] for node in path]
+        outcome.path_offsets, outcome.path_x, outcome.path_y = offsets, path_x, path_y
+
+
 def _finish_scalar(
     router: Any,
     live: np.ndarray,
@@ -801,20 +922,30 @@ def _finish_scalar(
     status: np.ndarray,
     hops: np.ndarray,
     abnormal: np.ndarray,
+    log: Optional[_PathLog] = None,
 ) -> None:
     """Route the remaining frontier through the scalar router (the oracle).
 
     Replays each straggler from its source -- the router is deterministic,
     so the outcome equals continuing the lockstep trajectory -- and writes
-    the per-message fields the kernel would have produced.  Uses the
-    counters-only ``route_counts`` entry point: stragglers walk long
-    budget-bounded paths whose hop-by-hop materialisation nobody reads.
+    the per-message fields the kernel would have produced.  Without a
+    path *log* it uses the counters-only ``route_counts`` entry point:
+    stragglers walk long budget-bounded paths whose hop-by-hop
+    materialisation nobody reads.  With one, ``route`` records each whole
+    path.
     """
     for message in live.tolist():
-        delivered, taken, abnormal_taken, reason = router.route_counts(
-            (int(src_x[message]), int(src_y[message])),
-            (int(dst_x[message]), int(dst_y[message])),
-        )
+        source = (int(src_x[message]), int(src_y[message]))
+        destination = (int(dst_x[message]), int(dst_y[message]))
+        if log is None:
+            delivered, taken, abnormal_taken, reason = router.route_counts(
+                source, destination
+            )
+        else:
+            result = router.route(source, destination)
+            delivered, taken = result.delivered, result.hops
+            abnormal_taken, reason = result.abnormal_hops, result.reason
+            log.scalar_paths[message] = result.path
         status[message] = DELIVERED if delivered else _REASON_CODES[reason]
         hops[message] = taken
         abnormal[message] = abnormal_taken
@@ -825,6 +956,7 @@ def route_batch(
     batch: Any,
     *,
     scalar_finish: Optional[int] = None,
+    paths: bool = False,
 ) -> BatchRouteOutcome:
     """Route every message of *batch* through *router* in lockstep.
 
@@ -842,6 +974,14 @@ def route_batch(
     hands the straggler tail to the scalar router (default
     ``_SCALAR_FINISH_THRESHOLD``; ``0`` forces a pure lockstep run, which
     the differential tests use to exercise the kernel on small batches).
+
+    *paths* additionally records every message's node path (equal to
+    ``router.route(...).path``) as CSR arrays on the outcome
+    (:attr:`BatchRouteOutcome.path_offsets` / ``path_x`` / ``path_y``):
+    each round logs its straight runs and successful traversals with the
+    message's hop count before them, so the expansion after the loop
+    writes every hop straight to its path position.  The counts-only run
+    (the default) records nothing.
     """
     from repro.routing.registry import ECubeRouter
 
@@ -869,7 +1009,10 @@ def route_batch(
     abnormal = np.zeros(total, dtype=np.int64)
     minimal = np.abs(src_x - dst_x) + np.abs(src_y - dst_y)
     outcome = BatchRouteOutcome(status, hops, abnormal, minimal)
+    log = _PathLog() if paths else None
     if total == 0:
+        if log is not None:
+            log.expand(outcome, src_x, src_y, None)
         return outcome
 
     source_disabled = disabled[src_x, src_y]
@@ -906,7 +1049,7 @@ def route_batch(
     while live.size:
         if live.size <= finish_threshold:
             _finish_scalar(
-                router, live, src_x, src_y, dst_x, dst_y, status, hops, abnormal
+                router, live, src_x, src_y, dst_x, dst_y, status, hops, abnormal, log
             )
             break
         # -- terminal checks (same order as the scalar loop head) ------------
@@ -943,6 +1086,8 @@ def route_batch(
         else:
             run = np.minimum(dist, free)
         run = np.where(free > 0, run, 0)
+        if log is not None:
+            log.run(live, live_hops, run, cur_x, cur_y, x_phase, sign)
         cur_x = cur_x + np.where(x_phase, sign * run, 0)
         cur_y = cur_y + np.where(x_phase, 0, sign * run)
         live_hops = live_hops + run
@@ -996,9 +1141,10 @@ def route_batch(
             fail_code[missing] = FAIL_ENTRY
         walkers = np.nonzero(~missing)[0]
         if walkers.size:
+            step = preferred[walkers]
             ok, taken, land_x, land_y, code = _traverse_packed(
                 packed, disabled, regions[walkers], message_type[walkers],
-                preferred[walkers], entry[walkers], go_x[walkers], go_y[walkers],
+                step, entry[walkers], go_x[walkers], go_y[walkers],
             )
             # A region touching the mesh border can only be circled on one
             # side: retry the opposite orientation, as the scalar does.
@@ -1010,12 +1156,21 @@ def route_batch(
                     -preferred[again], entry[again], go_x[again], go_y[again],
                 )
                 ok[retry] = ok2
+                if log is not None:
+                    step[retry[ok2]] *= -1
                 taken[retry] = np.where(ok2, taken2, taken[retry])
                 land_x[retry] = np.where(ok2, land_x2, land_x[retry])
                 land_y[retry] = np.where(ok2, land_y2, land_y[retry])
                 # The scalar reports the reason of the *last* traversal.
                 code[retry] = code2
             succeeded = walkers[ok]
+            if log is not None:
+                walked = regions[succeeded]
+                log.walk(
+                    live[rows[succeeded]], live_hops[rows[succeeded]], taken[ok],
+                    packed.start[walked], entry[succeeded], step[ok],
+                    packed.length[walked],
+                )
             new_x[succeeded] = land_x[ok]
             new_y[succeeded] = land_y[ok]
             gained[succeeded] = taken[ok]
@@ -1037,6 +1192,8 @@ def route_batch(
             keep = np.ones(live.size, dtype=bool)
             keep[rows[failed_rows]] = False
             compact(keep)
+    if log is not None:
+        log.expand(outcome, src_x, src_y, packed)
     return outcome
 
 

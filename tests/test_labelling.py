@@ -72,6 +72,32 @@ class TestScheme1:
             regions = regions_from_masks(result.labels, mask(12, 12, nodes))
             assert all(region.is_rectangle for region in regions)
 
+    def test_comb_staircase_needs_more_than_twice_the_perimeter(self):
+        # Two fault combs zipped by a faulty column: the unsafe region grows
+        # a few nodes per round, far past 2 * (width + height) rounds.
+        width = 10
+        faults = mask(width, width, [])
+        faults[1::2, width - 1] = True
+        faults[width - 1, 1:] = True
+        faults[0 : width - 1 : 2, 0] = True
+        result = apply_labelling_scheme_1(faults)
+        assert result.rounds == 73 > 2 * (width + width)
+        assert result.labels.all()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            apply_labelling_scheme_1(faults, max_rounds=2 * (width + width))
+
+    def test_clustered_100x100_trial_converges(self):
+        # A Figures 9-11 trial whose fixed point needs 516 rounds.
+        from repro.api import get_construction
+        from repro.faults.scenario import generate_scenario
+
+        scenario = generate_scenario(800, 100, model="clustered", seed=7100092)
+        fault_mask = faults_to_mask(scenario.faults, 100, 100)
+        result = apply_labelling_scheme_1(fault_mask)
+        assert result.rounds == 516 > 2 * (100 + 100)
+        built = {key: get_construction(key).build(scenario) for key in ("mfp", "dmfp")}
+        assert built["dmfp"].disabled_set() == built["mfp"].disabled_set()
+
     def test_mesh_border_does_not_wrap(self):
         result = apply_labelling_scheme_1(mask(5, 5, [(0, 0), (4, 4)]))
         assert result.labels.sum() == 2

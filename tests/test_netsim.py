@@ -31,8 +31,11 @@ from repro.netsim import (
     use_simulator,
 )
 from repro.netsim.plan import SimPlan
+from repro.routing.channels import assign_channels
 from repro.routing.extended_ecube import ExtendedECubeRouter
 from repro.routing.traffic import BurstyArrivalOptions, get_traffic
+
+from oracles.netsim_plan import channel_ids
 
 ALL_SPATIAL = (
     "uniform", "transpose", "bit-reversal", "hotspot", "nearest-neighbour", "permutation"
@@ -56,9 +59,6 @@ def _plan(width=10, faults=(), traffic="uniform", count=60, seed=3, rate=2.0,
 def _line_plan(inject, paths, width=6):
     """Hand-built plan: explicit per-message channel sequences on a row."""
     router = ExtendedECubeRouter(Mesh2D(width, width), [])
-    from repro.netsim.plan import channel_ids
-    from repro.routing.channels import assign_channels
-
     hop_channel, offsets, lengths = [], [], []
     for source, destination in paths:
         result = router.route(source, destination)

@@ -467,3 +467,106 @@ class TestSweepAndCLI:
             == 0
         )
         assert "delivery_rate" in capsys.readouterr().out
+
+
+@st.composite
+def path_scenarios(draw):
+    """A mesh (6..20 wide) with clustered or random faults, optionally
+    plus a fault run along a border so regions hug the mesh edge."""
+    width = draw(st.integers(6, 20))
+    height = draw(st.integers(6, 20))
+    model = draw(st.sampled_from(["random", "clustered"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    count = draw(st.integers(0, width * height // 8))
+    faults = set(
+        generate_scenario(count, width, height, model=model, seed=seed).faults
+    )
+    if draw(st.booleans()):
+        side = draw(st.sampled_from(["south", "north", "west", "east"]))
+        start = draw(st.integers(0, max(0, min(width, height) - 3)))
+        run = range(start, start + draw(st.integers(1, 3)))
+        faults |= {
+            "south": {(x, 0) for x in run},
+            "north": {(x, height - 1) for x in run},
+            "west": {(0, y) for y in run},
+            "east": {(width - 1, y) for y in run},
+        }[side]
+    return Mesh2D(width, height), sorted(faults), seed
+
+
+def csr_path(outcome, message):
+    """One message's path from the outcome's CSR path arrays."""
+    nodes = slice(outcome.path_offsets[message], outcome.path_offsets[message + 1])
+    return tuple(zip(outcome.path_x[nodes].tolist(), outcome.path_y[nodes].tolist()))
+
+
+class TestBatchPaths:
+    """``route_batch(..., paths=True)`` emits ``router.route``'s paths."""
+
+    @staticmethod
+    def assert_paths_match(router, batch, **route_batch_kwargs):
+        counts = route_batch(router, batch, **route_batch_kwargs)
+        outcome = route_batch(router, batch, paths=True, **route_batch_kwargs)
+        assert counts.path_offsets is None
+        for field in ("status", "hops", "abnormal_hops", "minimal_hops"):
+            assert np.array_equal(getattr(outcome, field), getattr(counts, field))
+        assert np.array_equal(np.diff(outcome.path_offsets), outcome.hops + 1)
+        for index, (source, destination) in enumerate(batch.pairs()):
+            assert csr_path(outcome, index) == router.route(source, destination).path, (
+                source,
+                destination,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        path_scenarios(),
+        st.sampled_from(["extended-ecube", "ecube"]),
+        st.sampled_from([0, None]),
+        st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_paths_equal_scalar_route(self, scenario, key, finish, max_hops):
+        topology, faults, seed = scenario
+        construction = build_minimum_polygons(
+            faults, topology=topology, compute_rounds=False
+        )
+        overrides = {"max_hops": max_hops} if key == "extended-ecube" else {}
+        router = get_router(key).build(construction, **overrides)
+        context = TrafficContext.from_router(router)
+        batch = get_traffic("uniform").generate(context, 60, seed=seed)
+        self.assert_paths_match(router, batch, scalar_finish=finish)
+
+    def test_stragglers_keep_their_whole_scalar_path(self):
+        scenario = generate_scenario(300, 40, model="clustered", seed=4)
+        session = MeshSession.from_scenario(scenario)
+        router = session.routing.router("extended-ecube", "mfp")
+        batch = get_traffic("uniform").generate(
+            session.routing.context("extended-ecube", "mfp"), 400, seed=2
+        )
+        # A threshold above the batch size finishes every message scalar.
+        self.assert_paths_match(router, batch, scalar_finish=1000)
+        self.assert_paths_match(router, batch)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_expansion(self, monkeypatch, chunk):
+        from repro.routing import engine
+
+        monkeypatch.setattr(engine, "PATH_CHUNK_NODES", chunk)
+        scenario = generate_scenario(60, 20, model="clustered", seed=8)
+        session = MeshSession.from_scenario(scenario)
+        router = session.routing.router("extended-ecube", "mfp")
+        batch = get_traffic("uniform").generate(
+            session.routing.context("extended-ecube", "mfp"), 120, seed=5
+        )
+        self.assert_paths_match(router, batch, scalar_finish=0)
+        self.assert_paths_match(router, batch)
+
+    def test_empty_batch_and_self_pairs(self):
+        router = get_router("extended-ecube").build(
+            regions=[{(3, 3), (3, 4)}], topology=Mesh2D(8, 8)
+        )
+        empty = route_batch(router, TrafficBatch.empty(), paths=True)
+        assert empty.path_offsets.tolist() == [0]
+        same = np.array([1, 5, 3])
+        batch = TrafficBatch(same, same, same, same)
+        outcome = route_batch(router, batch, paths=True, scalar_finish=0)
+        assert [csr_path(outcome, i) for i in range(3)] == [((1, 1),), ((5, 5),), ((3, 3),)]
